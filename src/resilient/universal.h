@@ -101,6 +101,11 @@ class universal {
     // iteration CASes another operation forward, it never waits in place
     while (mine->seq.read(p) == 0) {
       node* before = max_head(p);
+      // Helpers may have appended `mine` and grown the log past it since
+      // the loop test.  Every node up to `before` has its seq stamped
+      // before `before` is published, so this re-test sees such an
+      // append; proposing `mine` again would close the log into a cycle.
+      if (mine->seq.read(p) != 0) break;
       long before_seq = before->seq.read(p);
       // Round-robin helping: give priority to the name whose turn it is.
       node* help =
@@ -139,6 +144,18 @@ class universal {
 
   int k() const { return k_; }
   long log_length(proc& p) { return max_head(p)->seq.read(p); }
+
+  // Nodes reachable from the tail through decided successors, counting
+  // the tail and stopping at `limit`.  A well-formed log is a chain, so
+  // once every apply has returned this equals log_length(); a node
+  // appended twice closes a cycle and the walk runs into `limit`.
+  long chain_length(proc& p, long limit) {
+    long len = 0;
+    for (node* x = tail_.get(); x != nullptr && len < limit;
+         x = x->decide_next.read(p))
+      ++len;
+    return len;
+  }
 
  private:
   node* max_head(proc& p) {

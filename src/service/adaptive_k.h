@@ -9,8 +9,8 @@
 // elastic table applies them on epoch boundaries by parking/releasing
 // governor holders (the detain_slot re-dress) and by publishing directory
 // resizes.  Nothing here touches shared protocol state: the controller is
-// single-threaded maintenance code fed with seqlock-consistent snapshots,
-// which is how adaptation stays off the acquire path entirely.
+// single-threaded maintenance code fed with per-shard stats samples
+// (service/shard_counters.h), which is how adaptation stays off the acquire path entirely.
 //
 // Hysteresis: every step requires `hysteresis_ticks` consecutive ticks of
 // the same signal, and resizes are additionally rate-limited, so a noisy
@@ -67,9 +67,10 @@ struct resize_decision {
   int merge_slot = -1;  // slot to deactivate when action == merge
 };
 
-// One tick's consistent sample of a shard, as read through the stats
-// seqlock.  Counters are lifetime totals; the controller differentiates
-// them into decayed rates itself.
+// One tick's sample of a shard, read through shard_counters::sample
+// (fast_hits <= acquires, occupancy <= max_occupancy).  Counters are
+// lifetime totals; the controller differentiates them into decayed rates
+// itself.
 struct shard_sample {
   std::uint64_t acquires = 0;
   std::uint64_t fast_hits = 0;

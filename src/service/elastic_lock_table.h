@@ -38,7 +38,7 @@
 //    set on its post-stamp re-check and re-routes.
 //
 //  * ADAPTIVE k.  A per-shard contention controller (service/
-//    adaptive_k.h) samples seqlock-consistent stats on decayed windows
+//    adaptive_k.h) samples per-shard stats on decayed windows
 //    and steps each shard's effective k by parking/releasing governor
 //    processes through the fast/graceful composition's detain_slot
 //    re-dress (Theorems 4/8: a permanent holder is a lowered k).  Steps
@@ -50,7 +50,7 @@
 //    table's.
 //
 // Everything the elastic layer adds to the acquire path is host-side
-// (directory load, parity stamp, stats window): zero platform-variable
+// (directory load, parity stamp, stats counters): zero platform-variable
 // accesses, zero remote references in the paper's model, and nothing a
 // stepped schedule can park inside.
 #pragma once
@@ -70,9 +70,9 @@
 #include "common/check.h"
 #include "kex/any_kex.h"
 #include "kex/arena_layout.h"
-#include "runtime/stat_seqlock.h"
 #include "service/adaptive_k.h"
 #include "service/lock_table.h"
+#include "service/shard_counters.h"
 #include "service/shard_directory.h"
 
 namespace kex {
@@ -139,7 +139,8 @@ class elastic_lock_table {
       : n_(n),
         opts_(std::move(opts)),
         dir_(opts_.initial_shards, opts_.seed),
-        ctrl_(opts_.max_shards, opts_.controller) {
+        ctrl_(opts_.max_shards, opts_.controller),
+        counters_(opts_.max_shards, n) {
     KEX_CHECK_MSG(opts_.max_shards >= opts_.initial_shards &&
                       opts_.initial_shards >= opts_.min_shards &&
                       opts_.min_shards >= 1 &&
@@ -168,6 +169,7 @@ class elastic_lock_table {
     shards_.reserve(static_cast<std::size_t>(opts_.max_shards));
     for (int slot = 0; slot < opts_.max_shards; ++slot) {
       eshard& s = shards_.emplace_back();
+      s.slot = slot;
       s.kex = make_kex<P>(opts_.algorithm, n_total, protocol_k, n_total);
       for (int g = 0; g < governors_per_shard_; ++g)
         s.governors.push_back(std::make_unique<proc>(n_ + g, model));
@@ -227,18 +229,13 @@ class elastic_lock_table {
       auto* t = t_;
       auto* s = std::exchange(s_, nullptr);
       auto* es = std::exchange(es_, nullptr);
-      {
-        stat_seqlock::writer_scope w(s->stats_lock);
-        s->occupancy.fetch_sub(1, std::memory_order_relaxed);
-      }
+      shard_counters::released(s->tally);
       bool crashed = false;
       try {
         s->kex.release(*p_);
       } catch (const process_failed&) {
         crashed = true;
-        stat_seqlock::writer_scope w(s->stats_lock);
-        s->occupancy.fetch_add(1, std::memory_order_relaxed);
-        s->crashes.fetch_add(1, std::memory_order_relaxed);
+        shard_counters::crashed(s->tally);
       }
       if (crashed) {
         // The burned slot's stamp is retired on the crash side of the
@@ -264,6 +261,7 @@ class elastic_lock_table {
         } else {
           es->in_flight[epar_].fetch_sub(1);
         }
+        t->escorts_.fetch_sub(1);
         t->maybe_commit(*es);
       }
     }
@@ -332,17 +330,8 @@ class elastic_lock_table {
     out.slots.reserve(shards_.size());
     for (int slot = 0; slot < static_cast<int>(shards_.size()); ++slot) {
       const auto& s = shards_[static_cast<std::size_t>(slot)];
-      elastic_shard_stats row = s.stats_lock.read([&] {
-        elastic_shard_stats r;
-        r.acquires = s.acquires.load(std::memory_order_relaxed);
-        r.fast_hits = s.fast_hits.load(std::memory_order_relaxed);
-        r.crashes = s.crashes.load(std::memory_order_relaxed);
-        r.aborts = s.aborts.load(std::memory_order_relaxed);
-        r.timeouts = s.timeouts.load(std::memory_order_relaxed);
-        r.max_occupancy = s.max_occupancy.load(std::memory_order_relaxed);
-        r.occupancy = s.occupancy.load(std::memory_order_relaxed);
-        return r;
-      });
+      elastic_shard_stats row;
+      static_cast<lock_shard_stats&>(row) = counters_.sample(s.tally, slot);
       row.active = (active >> slot) & 1;
       row.effective_k = s.kex.effective_k();
       row.gen = s.gen.load();
@@ -372,17 +361,14 @@ class elastic_lock_table {
       const int slot = __builtin_ctzll(bits);
       bits &= bits - 1;
       auto& s = shards_[static_cast<std::size_t>(slot)];
+      const lock_shard_stats row = counters_.sample(s.tally, slot);
       shard_sample sample;
-      s.stats_lock.read([&] {
-        sample.acquires = s.acquires.load(std::memory_order_relaxed);
-        sample.fast_hits = s.fast_hits.load(std::memory_order_relaxed);
-        sample.aborts = s.aborts.load(std::memory_order_relaxed);
-        sample.timeouts = s.timeouts.load(std::memory_order_relaxed);
-        sample.max_occupancy =
-            s.max_occupancy.load(std::memory_order_relaxed);
-        sample.occupancy = s.occupancy.load(std::memory_order_relaxed);
-        return 0;
-      });
+      sample.acquires = row.acquires;
+      sample.fast_hits = row.fast_hits;
+      sample.aborts = row.aborts;
+      sample.timeouts = row.timeouts;
+      sample.max_occupancy = row.max_occupancy;
+      sample.occupancy = row.occupancy;
       sample.effective_k = s.kex.effective_k();
       const k_step step = ctrl_.tick_slot(slot, sample);
       if (!opts_.adaptive) continue;
@@ -437,29 +423,24 @@ class elastic_lock_table {
  private:
   struct alignas(cacheline_size) eshard {
     any_kex<P> kex;
-    stat_seqlock stats_lock;
+    int slot = 0;
     // kex-lint: allow-block(raw-atomic): host-side handover bookkeeping
-    // (parity-stamped drain counters) and stats — read on the acquire
-    // path but never spun on; the wait-free stamp/re-check protocol and
-    // the seqlock windows are documented in the header comment
+    // (parity-stamped drain counters) — read on the acquire path but
+    // never spun on; the wait-free stamp/re-check protocol is documented
+    // in the header comment
     std::atomic<std::uint64_t> gen{0};
     std::atomic<std::int64_t> in_flight[2] = {};
     std::atomic<std::int64_t> par_crashes[2] = {};
     std::atomic<int> pending_source{0};
-    std::atomic<std::uint64_t> acquires{0};
-    std::atomic<std::uint64_t> fast_hits{0};
-    std::atomic<std::uint64_t> crashes{0};
-    std::atomic<std::uint64_t> aborts{0};
-    std::atomic<std::uint64_t> timeouts{0};
-    std::atomic<int> occupancy{0};
-    std::atomic<int> max_occupancy{0};
     std::vector<std::unique_ptr<proc>> governors;
+    shard_counters::tally tally;  // service/shard_counters.h
   };
 
   // One (shard, parity) stamp on the drain ledger.
   struct hold {
     eshard* s = nullptr;
     int par = 0;
+    bool escort = false;  // counted in escorts_ until retired
     explicit operator bool() const { return s != nullptr; }
   };
 
@@ -473,6 +454,7 @@ class elastic_lock_table {
   // abandoned attempt).  It may have been the stamp keeping a drain open.
   void unstamp(const hold& h) {
     h.s->in_flight[h.par].fetch_sub(1);
+    if (h.escort) escorts_.fetch_sub(1);
     maybe_commit(*h.s);
   }
   // Retire a stamp on the crash side of the ledger: in_flight keeps the
@@ -480,6 +462,7 @@ class elastic_lock_table {
   // old-regime holder".
   void burn(const hold& h) {
     h.s->par_crashes[h.par].fetch_add(1);
+    if (h.escort) escorts_.fetch_sub(1);
     maybe_commit(*h.s);
   }
 
@@ -496,23 +479,36 @@ class elastic_lock_table {
   // commit every holder of the key holds the source kex (old regime
   // included), after the commit every holder holds the target kex — the
   // certifying object is well-defined at every instant.  Escort edges
-  // always point source -> target of the single in-flight handover
-  // (split: all into the fresh slot; merge: all out of the victim), so
-  // the two-step acquire order cannot form a cycle.
+  // point source -> target of one handover (split: all into the fresh
+  // slot; merge: all out of the victim), so the two-step acquire order
+  // cannot form a cycle — provided no escort of a committed handover is
+  // still live when the next one publishes.  Edges of two handovers can
+  // close a cycle (a split's S -> N against the merge of N, N -> S), with
+  // every process spinning in a kex wait.  Hence the re-check compares
+  // the whole plan, escort included, and publish_resize refuses while
+  // escorts_ is non-zero: an escort counted before a re-check that saw
+  // handover H pending is visible to every publish after H's commit.
   struct stamp_result {
     hold primary;
     hold escort;
   };
+  // Primary slot, and escort slot (-1: none) for an acquire of `h` now.
+  std::pair<int, int> plan(std::uint64_t h) const {
+    const shard_route r = dir_.route(h);
+    const int src = r.pending ? dir_.place_committed(h) : r.slot;
+    return {r.slot, src != r.slot ? src : -1};
+  }
   stamp_result stamp(std::uint64_t h) {
     for (;;) {
-      const shard_route r = dir_.route(h);
+      const auto want = plan(h);
       stamp_result out;
-      if (r.pending) {
-        const int src = dir_.place_committed(h);
-        if (src != r.slot) out.escort = stamp_slot(src);
+      if (want.second >= 0) {
+        escorts_.fetch_add(1);
+        out.escort = stamp_slot(want.second);
+        out.escort.escort = true;
       }
-      out.primary = stamp_slot(r.slot);
-      if (dir_.route(h).slot == r.slot) return out;
+      out.primary = stamp_slot(want.first);
+      if (plan(h) == want) return out;
       // Raced a publish or commit: retire the transient stamps and
       // route again.
       unstamp(out.primary);
@@ -524,14 +520,7 @@ class elastic_lock_table {
   // then the failure propagates to the caller as usual.
   guard admit(const stamp_result& st, proc& p) {
     eshard& s = *st.primary.s;
-    stat_seqlock::writer_scope w(s.stats_lock);
-    int now = s.occupancy.fetch_add(1, std::memory_order_relaxed) + 1;
-    int peak = s.max_occupancy.load(std::memory_order_relaxed);
-    while (now > peak && !s.max_occupancy.compare_exchange_weak(
-                             peak, now, std::memory_order_relaxed)) {
-    }
-    s.acquires.fetch_add(1, std::memory_order_relaxed);
-    if (now == 1) s.fast_hits.fetch_add(1, std::memory_order_relaxed);
+    counters_.admitted(s.tally, s.slot, p.id);
     return guard(this, &s, &p, st.primary.par, st.escort.s,
                  st.escort.par);
   }
@@ -573,7 +562,7 @@ class elastic_lock_table {
         throw;
       }
       if (!ok) {
-        note_abandon(s, tk);
+        shard_counters::abandoned(s.tally, tk.reason());
         unstamp(st.primary);
         unstamp(st.escort);
         return guard();
@@ -598,18 +587,11 @@ class elastic_lock_table {
           throw;
         }
       }
-      note_abandon(s, tk);
+      shard_counters::abandoned(s.tally, tk.reason());
       unstamp(st.primary);
       return guard();
     }
     return admit(st, p);
-  }
-
-  void note_abandon(eshard& s, const cancel_token& tk) {
-    auto& ctr = tk.reason() == cancel_reason::cancelled ? s.aborts
-                                                        : s.timeouts;
-    stat_seqlock::writer_scope w(s.stats_lock);
-    ctr.fetch_add(1, std::memory_order_relaxed);
   }
 
   // Publish order matters: the pending set first (new acquires route by
@@ -629,6 +611,9 @@ class elastic_lock_table {
     std::uint64_t sources, target;
     {
       std::lock_guard<std::mutex> c(commit_mutex_);
+      // Under commit_mutex_ a pending() of 0 stays 0, and every escort of
+      // the last handover that could still see it pending is counted.
+      if (dir_.pending() != 0 || escorts_.load() != 0) return false;
       sources = dir_.committed();
       const int active = __builtin_popcountll(sources);
       target = split ? (active < opts_.max_shards ? dir_.with_split() : 0)
@@ -690,12 +675,14 @@ class elastic_lock_table {
   shard_directory dir_;
   contention_controller ctrl_;
   arena_vector<eshard> shards_;
+  shard_counters counters_;
   std::mutex maint_mutex_;
   std::mutex resize_mutex_;   // serializes publishers
   std::mutex commit_mutex_;   // orders target computation vs commits
   // kex-lint: allow-block(raw-atomic): handover/adaptation totals —
   // host-side monitoring and drain bookkeeping, not protocol state
   std::atomic<int> pending_sources_{0};
+  std::atomic<int> escorts_{0};  // live escort stamps (see stamp())
   std::atomic<std::uint64_t> handovers_{0};
   std::atomic<std::uint64_t> k_steps_up_{0};
   std::atomic<std::uint64_t> k_steps_down_{0};

@@ -28,7 +28,6 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <concepts>
 #include <cstdint>
@@ -41,8 +40,8 @@
 #include "kex/any_kex.h"
 #include "kex/arena_layout.h"
 #include "platform/topology.h"
-#include "runtime/stat_seqlock.h"
 #include "service/session_registry.h"
+#include "service/shard_counters.h"
 
 namespace kex {
 
@@ -60,18 +59,6 @@ std::uint64_t lock_table_hash(std::string_view key);
 // uses the high bits the mixers work hardest on, no division on the hot
 // path, and no power-of-two requirement on the shard count.
 int lock_table_shard_of(std::uint64_t hash, int shards);
-
-// One shard's counters, as sampled by lock_table::stats().
-struct lock_shard_stats {
-  std::uint64_t acquires = 0;   // guards handed out
-  std::uint64_t fast_hits = 0;  // acquired an otherwise-empty shard
-  std::uint64_t crashes = 0;    // holders that crashed in their CS
-  std::uint64_t aborts = 0;     // attempts abandoned by cancel()
-  std::uint64_t timeouts = 0;   // attempts abandoned by deadline/budget
-  int max_occupancy = 0;        // peak concurrent holders (<= k always)
-  int occupancy = 0;            // current holders, crashed ones included
-  int home_node = 0;            // NUMA node this shard's state targets
-};
 
 // Whole-table sample: per-shard rows plus totals.
 struct lock_table_stats {
@@ -108,26 +95,14 @@ class lock_table {
   struct alignas(cacheline_size) shard {
     any_kex<P> kex;
     int home_node = 0;
-    // Counter updates that belong together (occupancy + high-water +
-    // acquires + fast_hits) run inside a stats_lock writer window, so
-    // stats() never returns a snapshot torn across them.
-    stat_seqlock stats_lock;
-    // kex-lint: allow-block(raw-atomic): per-shard stats counters, not
-    // protocol state — reads are monitoring-only
-    std::atomic<std::uint64_t> acquires{0};
-    std::atomic<std::uint64_t> fast_hits{0};
-    std::atomic<std::uint64_t> crashes{0};
-    std::atomic<std::uint64_t> aborts{0};
-    std::atomic<std::uint64_t> timeouts{0};
-    std::atomic<int> occupancy{0};
-    std::atomic<int> max_occupancy{0};
+    shard_counters::tally tally;  // service/shard_counters.h
   };
 
  public:
   // `algorithm` is any make_kex catalog name; n is the pid space (the
   // session registry's capacity), k the per-shard concurrency bound.
   lock_table(int shards, std::string_view algorithm, int n, int k)
-      : n_(n), k_(k) {
+      : counters_(shards, n), n_(n), k_(k) {
     KEX_CHECK_MSG(shards >= 1, "lock_table requires at least one shard");
     // One contiguous interference-aligned arena for all shard headers
     // (the any_kex payloads hang off them): probing shard i never drags
@@ -175,23 +150,11 @@ class lock_table {
     void release() {
       if (s_ == nullptr) return;
       auto* s = std::exchange(s_, nullptr);
-      {
-        // Occupancy drops before the exit section begins, so sampled
-        // occupancy never transiently exceeds the k holders actually in
-        // their critical sections.  The window must close before
-        // kex.release — a platform access inside a writer window would
-        // stall stepped-sim readers for the length of the schedule.
-        stat_seqlock::writer_scope w(s->stats_lock);
-        s->occupancy.fetch_sub(1, std::memory_order_relaxed);
-      }
+      shard_counters::released(s->tally);
       try {
         s->kex.release(*p_);
       } catch (const process_failed&) {
-        // The crashed holder keeps its slot forever (the model); put it
-        // back in the occupancy count and remember the burn.
-        stat_seqlock::writer_scope w(s->stats_lock);
-        s->occupancy.fetch_add(1, std::memory_order_relaxed);
-        s->crashes.fetch_add(1, std::memory_order_relaxed);
+        shard_counters::crashed(s->tally);
       }
     }
 
@@ -279,72 +242,46 @@ class lock_table {
     return lock_table_shard_of(lock_table_hash(key), shards());
   }
 
-  // Per-shard rows are seqlock-consistent: each row is retried until it
-  // reads entirely outside every writer window, so within one row the
-  // invariants hold (fast_hits <= acquires, occupancy <= max_occupancy
-  // <= k).  Rows of *different* shards are still sampled at different
-  // instants — they are independent objects.
+  // Within one row fast_hits <= acquires and occupancy <= max_occupancy
+  // <= k hold (service/shard_counters.h says why).  Rows of *different*
+  // shards are sampled at different instants — they are independent
+  // objects.
   lock_table_stats stats() const {
     lock_table_stats out;
     out.shards.reserve(shards_.size());
-    for (const auto& s : shards_) {
-      out.shards.push_back(s.stats_lock.read([&] {
-        lock_shard_stats row;
-        row.acquires = s.acquires.load(std::memory_order_relaxed);
-        row.fast_hits = s.fast_hits.load(std::memory_order_relaxed);
-        row.crashes = s.crashes.load(std::memory_order_relaxed);
-        row.aborts = s.aborts.load(std::memory_order_relaxed);
-        row.timeouts = s.timeouts.load(std::memory_order_relaxed);
-        row.max_occupancy = s.max_occupancy.load(std::memory_order_relaxed);
-        row.occupancy = s.occupancy.load(std::memory_order_relaxed);
-        row.home_node = s.home_node;
-        return row;
-      }));
+    for (int i = 0; i < shards(); ++i) {
+      const auto& s = shards_[static_cast<std::size_t>(i)];
+      lock_shard_stats row = counters_.sample(s.tally, i);
+      row.home_node = s.home_node;
+      out.shards.push_back(row);
     }
     return out;
   }
 
  private:
-  // Post-admission bookkeeping, inside one seqlock writer window so a
-  // concurrent stats() never sees these counters half-applied.
-  static void note_admitted(shard& s) {
-    stat_seqlock::writer_scope w(s.stats_lock);
-    int now = s.occupancy.fetch_add(1, std::memory_order_relaxed) + 1;
-    int peak = s.max_occupancy.load(std::memory_order_relaxed);
-    while (now > peak && !s.max_occupancy.compare_exchange_weak(
-                             peak, now, std::memory_order_relaxed)) {
-    }
-    s.acquires.fetch_add(1, std::memory_order_relaxed);
-    if (now == 1) s.fast_hits.fetch_add(1, std::memory_order_relaxed);
-  }
-
   guard acquire_shard(proc& p, int idx) {
     auto& s = shards_[static_cast<std::size_t>(idx)];
     s.kex.acquire(p);
     // Everything below is host-side bookkeeping — by the time it runs the
     // caller is inside the critical section, and a sim-injected crash
     // will surface at its next *shared* access, not here.
-    note_admitted(s);
+    counters_.admitted(s.tally, idx, p.id);
     return guard(&s, &p);
   }
 
   guard acquire_shard_cancellable(proc& p, int idx, cancel_token& tk) {
     auto& s = shards_[static_cast<std::size_t>(idx)];
     if (!s.kex.acquire_cancellable(p, tk)) {
-      // Abandoned: nothing held.  Attribute by firing cause — an external
-      // cancel() counts as an abort, a deadline or spent budget (which
-      // covers try_acquire's pre-fired token) as a timeout.
-      auto& ctr = tk.reason() == cancel_reason::cancelled ? s.aborts
-                                                          : s.timeouts;
-      stat_seqlock::writer_scope w(s.stats_lock);
-      ctr.fetch_add(1, std::memory_order_relaxed);
+      // Abandoned: nothing held.
+      shard_counters::abandoned(s.tally, tk.reason());
       return guard();
     }
-    note_admitted(s);
+    counters_.admitted(s.tally, idx, p.id);
     return guard(&s, &p);
   }
 
   arena_vector<shard> shards_;
+  shard_counters counters_;
   int n_, k_;
 };
 

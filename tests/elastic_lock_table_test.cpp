@@ -6,19 +6,26 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <set>
+#include <thread>
+#include <utility>
 #include <vector>
 
+#include "platform/real.h"
 #include "platform/sim.h"
 #include "runtime/process_group.h"
 #include "runtime/rmr_meter.h"
 #include "runtime/workload.h"
 #include "service/lock_table.h"
+#include "service/session_registry.h"
 
 namespace kex {
 namespace {
 
 using sim = sim_platform;
+using real = real_platform;
 
 elastic_options static_opts(int initial, int max_shards, int k) {
   elastic_options o;
@@ -382,6 +389,153 @@ TEST(ElasticLockTable, SteppedRmrMatchesStaticTableWhenNotAdapting) {
   EXPECT_EQ(rs.mean_pair, re.mean_pair);  // exact: same integer sums
   EXPECT_EQ(rs.total_remote, re.total_remote);
   EXPECT_EQ(rs.max_occupancy, re.max_occupancy);
+}
+
+// The elastic twin of LockTableStats.SnapshotsAreConsistentUnderHammer:
+// workers hammer random keys while the main thread runs controller
+// ticks, splits and merges, and a sampler loops stats().  Every row must
+// satisfy the per-shard invariants the counters promise without a reader
+// protocol (service/shard_counters.h), and no acquire may be lost.
+TEST(ElasticLockTableStats, SnapshotsAreConsistentUnderHammer) {
+  constexpr int kWorkers = 4;
+  constexpr int kIters = 2000;
+  constexpr int kKMax = 4;
+  elastic_options o;
+  o.initial_shards = 2;
+  o.max_shards = 8;
+  o.k_min = 1;
+  o.k_base = 2;
+  o.k_max = kKMax;
+  elastic_lock_table<real> t(kWorkers, o, cost_model::none);
+  process_set<real> procs(kWorkers, cost_model::none);
+
+  std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> samples{0};
+  std::thread sampler([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      const auto st = t.stats();
+      for (const auto& row : st.slots) {
+        ASSERT_LE(row.fast_hits, row.acquires);
+        ASSERT_GE(row.occupancy, 0);
+        ASSERT_LE(row.occupancy, row.max_occupancy);
+        ASSERT_LE(row.max_occupancy, kKMax);
+      }
+      samples.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+
+  run_result result;
+  std::thread clients([&] {
+    result = run_workers<real>(
+        procs, all_pids(kWorkers), [&](real::proc& p) {
+          xorshift rng(static_cast<std::uint32_t>(p.id) * 7919u + 3u);
+          for (int i = 0; i < kIters; ++i) {
+            auto g = t.acquire(p, static_cast<std::uint64_t>(
+                                      rng.next_below(64)));
+            g.release();
+          }
+        });
+    done.store(true, std::memory_order_release);
+  });
+  for (int tick = 0; !done.load(std::memory_order_acquire); ++tick) {
+    t.maintenance();
+    if (tick % 2 == 0)
+      t.request_split();
+    else
+      t.request_merge(t.slot_of(std::uint64_t{0}));
+    std::this_thread::yield();
+  }
+  clients.join();
+  sampler.join();
+
+  EXPECT_EQ(result.completed, kWorkers);
+  EXPECT_GT(samples.load(), 0u);
+  const auto st = t.stats();
+  EXPECT_EQ(st.total_acquires(),
+            static_cast<std::uint64_t>(kWorkers) * kIters);
+  for (const auto& row : st.slots) EXPECT_EQ(row.occupancy, 0);
+  EXPECT_FALSE(t.handover_in_flight());
+}
+
+// Exact counts while pids hop between OS threads.  Each round starts two
+// fresh threads that attach through the registry, so the same pids pass
+// to new threads every round, and the order of attaching alternates so
+// each pid serves both roles.  The holder takes the key on its empty
+// shard (a fast hit) and keeps it while the contender takes the same key
+// (occupancy 2, no fast hit); then both release and detach.  Per round:
+// 2 acquires, 1 fast hit, a peak of 2.
+template <class Table>
+void run_handoff_rounds(Table& table, int rounds) {
+  constexpr std::uint64_t kKey = 7;
+  session_registry<real> reg(4, cost_model::none);
+  std::set<int> holder_pids, contender_pids;
+  for (int r = 0; r < rounds; ++r) {
+    std::atomic<int> phase{0};
+    const auto wait_for = [&](int v) {
+      while (phase.load() < v) std::this_thread::yield();
+    };
+    const bool holder_first = r % 2 == 0;
+    int pid[2] = {-1, -1};  // [0] holder, [1] contender
+    std::thread holder([&] {
+      wait_for(holder_first ? 0 : 1);
+      auto s = reg.attach();
+      pid[0] = s.pid();
+      phase.fetch_add(1);
+      wait_for(2);
+      auto g = table.acquire(s, kKey);
+      phase.store(3);
+      wait_for(4);
+      g.release();
+    });
+    std::thread contender([&] {
+      wait_for(holder_first ? 1 : 0);
+      auto s = reg.attach();
+      pid[1] = s.pid();
+      phase.fetch_add(1);
+      wait_for(3);
+      auto g = table.acquire(s, kKey);
+      g.release();
+      s.detach();
+      phase.store(4);
+    });
+    holder.join();
+    contender.join();
+    holder_pids.insert(pid[0]);
+    contender_pids.insert(pid[1]);
+  }
+  // The premise: some pid served as holder in one round and contender in
+  // another, each time on a different thread.
+  bool hopped = false;
+  for (int p : holder_pids) hopped = hopped || contender_pids.count(p) > 0;
+  EXPECT_TRUE(hopped);
+}
+
+TEST(ShardCounters, ExactCountsAcrossSessionHandoffsStaticTable) {
+  constexpr int kRounds = 20;
+  lock_table<real> table(4, "cc_fast", 4, 2);
+  run_handoff_rounds(table, kRounds);
+  const auto st = table.stats();
+  EXPECT_EQ(st.total_acquires(), 2u * kRounds);
+  EXPECT_EQ(st.total_fast_hits(), 1u * kRounds);
+  EXPECT_EQ(st.max_occupancy(), 2);
+  const auto& row = st.shards[static_cast<std::size_t>(
+      table.shard_of(std::uint64_t{7}))];
+  EXPECT_EQ(row.acquires, 2u * kRounds);
+  EXPECT_EQ(row.occupancy, 0);
+}
+
+TEST(ShardCounters, ExactCountsAcrossSessionHandoffsElasticTable) {
+  constexpr int kRounds = 20;
+  elastic_lock_table<real> table(4, static_opts(2, 4, 2), cost_model::none);
+  run_handoff_rounds(table, kRounds);
+  const auto st = table.stats();
+  EXPECT_EQ(st.total_acquires(), 2u * kRounds);
+  EXPECT_EQ(st.total_fast_hits(), 1u * kRounds);
+  EXPECT_EQ(st.max_occupancy(), 2);
+  const auto& row = st.slots[static_cast<std::size_t>(
+      table.slot_of(std::uint64_t{7}))];
+  EXPECT_EQ(row.acquires, 2u * kRounds);
+  EXPECT_EQ(row.occupancy, 0);
 }
 
 }  // namespace

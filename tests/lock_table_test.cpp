@@ -333,8 +333,8 @@ TEST(LockTableStepper, SameShardMutualExclusionUnderAllPrefixes) {
 
 // Stats snapshots must never tear: while workers hammer acquire/release,
 // a sampler loops stats() and asserts the per-shard row invariants that
-// only hold when occupancy, high-water and the counters were read from
-// one consistent instant (the seqlock window).  Run under TSan this also
+// only hold when occupancy, high-water and the counters were read in a
+// consistent order (service/shard_counters.h).  Run under TSan this also
 // pins the snapshot path data-race-free.
 TEST(LockTableStats, SnapshotsAreConsistentUnderHammer) {
   constexpr int kWorkers = 4;

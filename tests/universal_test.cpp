@@ -9,6 +9,7 @@
 
 #include "resilient/universal.h"
 #include "resilient/wf_snapshot.h"
+#include "platform/stepper.h"
 #include "runtime/process_group.h"
 
 namespace kex {
@@ -101,6 +102,38 @@ TEST(Universal, SnapshotMonotone) {
     EXPECT_GE(cur, prev + 2);
     prev = cur;
   }
+}
+
+// The double-append window: pid 0 announces and passes the loop test
+// (its node's seq still 0), then parks before max_head().  Pid 1's
+// round-robin helping appends pid 0's op first, then its own, so the log
+// has grown past pid 0's node when pid 0 resumes.  Pid 0 must notice its
+// op is already in the log; proposing it again would make it the
+// successor of pid 1's node and close the log into a cycle.
+TEST(Universal, HelpedOpIsNeverAppendedTwice) {
+  auto u = make_counter(2, 2);
+  long got[2] = {-1, -1};
+  std::vector<std::function<void(sim::proc&)>> scripts;
+  for (int pid = 0; pid < 2; ++pid)
+    scripts.push_back([&, pid](sim::proc& p) {
+      got[pid] = u.apply(p, pid, inc_op{pid == 0 ? 1 : 10});
+    });
+  // Two steps of pid 0 (announce write, loop-test read), then pid 1 runs
+  // its whole apply; the fair tail finishes pid 0.
+  std::vector<int> prefix = {0, 0};
+  prefix.insert(prefix.end(), 64, 1);
+  const auto out = run_stepped(std::move(scripts), prefix);
+  ASSERT_FALSE(out.deadlocked);
+
+  constexpr long applies = 2;
+  sim::proc reader{0, cost_model::cc};
+  // ASSERT: snapshot() below would follow a cycle forever.
+  ASSERT_EQ(u.chain_length(reader, 4 * (applies + 1)), applies + 1)
+      << "the log is not a chain of tail + one node per apply";
+  EXPECT_EQ(u.log_length(reader), applies + 1);
+  EXPECT_EQ(got[0], 0);   // helped first by pid 1
+  EXPECT_EQ(got[1], 1);
+  EXPECT_EQ(u.snapshot(reader), 11);
 }
 
 // --- wf_snapshot -----------------------------------------------------------
