@@ -1,8 +1,12 @@
 // Cache-line geometry and padding helpers.
 //
 // The paper's cost model distinguishes local from remote memory references;
-// on real hardware the analogous concern is false sharing, so every hot
-// shared variable in the library is cache-line aligned via `padded<T>`.
+// on real hardware the analogous concern is false sharing, so no two
+// objects' hot shared variables share a cache line.  Words that different
+// processes or objects write independently get a line each via
+// `padded<T>`; the words of one object that its users touch together (a
+// Figure-2 chain's X/Q words, Figure 7's bits) are packed onto whole
+// lines of their own instead (`packed_arena`, kex/arena_layout.h).
 #pragma once
 
 #include <cstddef>

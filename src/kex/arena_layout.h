@@ -4,14 +4,24 @@
 // The paper's local-spin discipline earns nothing on real hardware if the
 // spin variables it so carefully assigns to processes end up scattered
 // across the heap, sharing interference-sized lines with strangers.  The
-// two containers here put every hot word exactly where the analysis
-// assumes it lives:
+// containers here put every hot word exactly where the analysis assumes
+// it lives, by one rule: words of ONE object that its users touch
+// together are packed onto as few lines as possible; distinct objects
+// never share a line.
 //
 //   * `arena_vector<T>` — a fixed-capacity contiguous sequence of
-//     non-movable elements (levels, tree blocks, shards), each element
-//     placed at a cacheline-aligned offset of ONE allocation.  Replaces
-//     the ad-hoc std::deque chains whose chunk boundaries and headers
-//     landed wherever the allocator felt like it.
+//     non-movable elements (DSM levels, tree blocks, stages, shards),
+//     each placed at a cacheline-aligned offset of ONE allocation, so no
+//     two elements share a line.  For elements that are objects in their
+//     own right, touched by different processes at different times.
+//
+//   * `packed_arena<T>` — the same container with a dense stride: the
+//     elements sit back to back (sizeof(T) apart) in one line-aligned
+//     allocation sized up to whole lines.  For the words of one object
+//     that every user walks in sequence: the X/Q words of a Figure-2
+//     chain (a (2k,k) block, k <= 8, is one line on the real platform)
+//     and Figure 7's renaming bits.  Each such object owns its lines
+//     outright, so packing within it never puts it on a stranger's line.
 //
 //   * `spin_matrix<P, T>` — the per-process spin-location arrays of the
 //     DSM algorithms (the paper's P[p][v] / R[p][v]) as a pids × slots
@@ -27,10 +37,11 @@
 // with the `numa` pin policy adjacent pids sit on the same node, so a
 // row's pages are touched (and thus placed) by threads of one node.
 //
-// Neither container performs platform-variable accesses; on the simulated
+// No container performs platform-variable accesses; on the simulated
 // platform RMR accounting is keyed on variable identity, so moving a var
-// into an arena cannot change any count (asserted by rmr_bounds_test's
-// exact pinned values and tests/topology_test.cpp's stepped replays).
+// into an arena, or packing it next to another, cannot change any count
+// (asserted by rmr_bounds_test's exact pinned values and
+// tests/topology_test.cpp's stepped replays).
 #pragma once
 
 #include <cstddef>
@@ -49,13 +60,17 @@ inline constexpr std::size_t round_up_to_line(std::size_t bytes) {
   return (bytes + cacheline_size - 1) / cacheline_size * cacheline_size;
 }
 
-// Fixed-capacity contiguous container of non-movable elements.  Elements
-// are placement-new'd at `stride()` intervals (sizeof(T) rounded up to the
-// interference size) in a single aligned allocation, so adjacent elements
-// never share a cache line and the whole sequence is as dense as the
-// alignment contract allows.  reserve() once, emplace_back() up to
-// capacity; elements are never moved or copied.
-template <class T>
+// How an arena spaces its elements: one line (or more) each, or densely.
+enum class arena_stride { line, packed };
+
+// Fixed-capacity contiguous container of non-movable elements, placement-
+// new'd at `stride()` intervals in a single allocation that starts on a
+// line boundary and is sized up to whole lines.  With the default `line`
+// stride (sizeof(T) rounded up to the interference size) adjacent elements
+// never share a cache line; with `packed` (sizeof(T)) they sit back to
+// back.  reserve() once, emplace_back() up to capacity; elements are never
+// moved or copied.
+template <class T, arena_stride S = arena_stride::line>
 class arena_vector {
  public:
   arena_vector() = default;
@@ -79,10 +94,14 @@ class arena_vector {
   ~arena_vector() { destroy(); }
 
   static constexpr std::size_t stride() {
-    return round_up_to_line(sizeof(T));
+    return S == arena_stride::line ? round_up_to_line(sizeof(T)) : sizeof(T);
   }
   static constexpr std::size_t alignment() {
     return alignof(T) > cacheline_size ? alignof(T) : cacheline_size;
+  }
+  // Bytes the arena allocates for `capacity` elements: whole lines.
+  static constexpr std::size_t footprint(std::size_t capacity) {
+    return round_up_to_line(capacity * stride());
   }
 
   // Allocate the arena.  May be called once, before any emplace_back.
@@ -90,7 +109,7 @@ class arena_vector {
     KEX_CHECK_MSG(raw_ == nullptr, "arena_vector: reserve() called twice");
     if (capacity == 0) return;
     raw_ = static_cast<std::byte*>(::operator new(
-        capacity * stride(), std::align_val_t{alignment()}));
+        footprint(capacity), std::align_val_t{alignment()}));
     capacity_ = capacity;
   }
 
@@ -151,6 +170,10 @@ class arena_vector {
   std::size_t capacity_ = 0;
   std::size_t size_ = 0;
 };
+
+// The dense variant: one object's hot words, back to back on whole lines.
+template <class T>
+using packed_arena = arena_vector<T, arena_stride::packed>;
 
 // pids × slots matrix of platform variables, one allocation, one
 // interference-aligned row per pid.  Every variable in row `pid` is

@@ -22,6 +22,14 @@
 // most 7(N-k) remote references per acquisition on a cache-coherent
 // machine, tolerating up to k-1 process failures.
 //
+// Layout: a level is just its two words, X and Q — its capacity j follows
+// from its position in the chain — and the chain packs all of them into
+// one line-aligned arena of its own (arena_layout.h).  On the real
+// platform a level is 8 bytes, so a (2k,k) block, the 7k term of Theorems
+// 2 and 3, is one cache line for k <= 8: a process walking the block moves
+// one line, not 2k.  The paper charges per variable, and so does the sim
+// platform, so the packing changes no count.
+//
 // The algorithm never needs to know the identities of participating
 // processes in advance — only that at most `concurrency` of them are inside
 // simultaneously.  That property (noted in the paper) is what lets a
@@ -30,7 +38,6 @@
 // processes flow through each block.
 #pragma once
 
-#include "common/cacheline.h"
 #include "common/check.h"
 #include "kex/arena_layout.h"
 #include "platform/cancel.h"
@@ -46,16 +53,17 @@ class cc_level {
 
  public:
   // A level admitting at most `j` processes, assuming at most j+1 enter.
-  explicit cc_level(int j) : j_(j), x_(j), q_(-1) {
+  // `j` is only X's initial value; the level does not store it.
+  explicit cc_level(int j) : x_(j), q_(-1) {
     KEX_CHECK_MSG(j >= 1, "cc_level capacity must be >= 1");
   }
 
   void acquire(proc& p) {
-    if (x_.value.fetch_add(p, -1) == 0) {         // 2: no slot available
-      q_.value.write(p, p.id);                    // 3: register as waiter
-      q_.value.wake_one();  // the write may have un-named a parked waiter
-      if (x_.value.read(p) < 0) {                 // 4: still none — wait
-        q_.value.await_while(p, p.id);            // 5: local spin
+    if (x_.fetch_add(p, -1) == 0) {               // 2: no slot available
+      q_.write(p, p.id);                          // 3: register as waiter
+      q_.wake_one();  // the write may have un-named a parked waiter
+      if (x_.read(p) < 0) {                       // 4: still none — wait
+        q_.await_while(p, p.id);                  // 5: local spin
       }
     }
   }
@@ -78,17 +86,17 @@ class cc_level {
   // aborter's X++ simply returns the just-granted slot; either order
   // leaves X at the count of free slots and no process waiting.
   bool acquire_cancellable(proc& p, cancel_token& tk) {
-    if (x_.value.fetch_add(p, -1) == 0) {         // 2: no slot available
-      q_.value.write(p, p.id);                    // 3: register as waiter
-      q_.value.wake_one();
-      if (x_.value.read(p) < 0) {                 // 4: still none — wait
+    if (x_.fetch_add(p, -1) == 0) {               // 2: no slot available
+      q_.write(p, p.id);                          // 3: register as waiter
+      q_.wake_one();
+      if (x_.read(p) < 0) {                       // 4: still none — wait
         const int me = p.id;
-        auto v = q_.value.await_cancellable(
+        auto v = q_.await_cancellable(
             p, [me](int q) { return q != me; }, tk);
         if (!v) {                                 // abandoned: undo 2-3
-          x_.value.fetch_add(p, 1);
-          q_.value.write(p, p.id);
-          q_.value.wake_one();
+          x_.fetch_add(p, 1);
+          q_.write(p, p.id);
+          q_.wake_one();
           return false;
         }
       }
@@ -97,22 +105,19 @@ class cc_level {
   }
 
   void release(proc& p) {
-    x_.value.fetch_add(p, 1);                     // 6: return the slot
-    q_.value.write(p, p.id);                      // 7: wake waiter, if any
-    q_.value.wake_one();
+    x_.fetch_add(p, 1);                           // 6: return the slot
+    q_.write(p, p.id);                            // 7: wake waiter, if any
+    q_.wake_one();
   }
-
-  int capacity() const { return j_; }
 
   // Debug/probe accessors (see var::peek): the paper's invariant (I2)
   // implies X ranges over -1..j at every state; test probes assert it.
-  int debug_x() const { return x_.value.peek(); }
-  int debug_q() const { return q_.value.peek(); }
+  int debug_x() const { return x_.peek(); }
+  int debug_q() const { return q_.peek(); }
 
  private:
-  int j_;
-  padded<var<int>> x_;  // slot counter, range -1..j
-  padded<var<int>> q_;  // id of the waiting process
+  var<int> x_;  // slot counter, range -1..j
+  var<int> q_;  // id of the waiting process
 };
 
 template <Platform P>
@@ -170,13 +175,14 @@ class cc_inductive {
   const cc_level<P>& level(int i) const {
     return levels_[static_cast<std::size_t>(i)];
   }
+  // Capacity j of level i: levels run j = n-1 down to k.
+  int level_capacity(int i) const { return n_ - 1 - i; }
 
  private:
   int n_, k_;
-  // j = n-1 down to k, in acquisition order, in one contiguous
-  // cacheline-aligned arena: the levels a process walks every acquisition
-  // are physically adjacent instead of scattered across deque chunks.
-  arena_vector<cc_level<P>> levels_;
+  // j = n-1 down to k, in acquisition order, packed back to back in one
+  // line-aligned arena that no other object shares.
+  packed_arena<cc_level<P>> levels_;
 };
 
 }  // namespace kex

@@ -333,6 +333,11 @@ class graceful_kex {
   int n() const { return n_; }
   int k() const { return k_; }
   int stage_count() const { return static_cast<int>(stages_.size()); }
+  // Stage i's (2k,k) block; i == stage_count() is the final block.
+  const Block& block(int i) const {
+    return i == stage_count() ? *final_block_
+                              : stages_[static_cast<std::size_t>(i)].block;
+  }
 
   // Elastic re-dress hook — see fast_path_kex::detain_slot.  On the
   // nested chain a detained governor occupies a stage slot (or the final

@@ -311,6 +311,7 @@ class hybrid_kex {
   int depth() const { return tree_.depth(); }
   int groups() const { return static_cast<int>(queues_.size()); }
   int leaf_of(int pid) const { return tree_.leaf_of(pid); }
+  const tree_kex<P, Block>& tree() const { return tree_; }
 
   // Host-side introspection (benches, tests); relaxed counters, not part
   // of the protocol or its RMR accounting.

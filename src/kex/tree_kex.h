@@ -177,6 +177,14 @@ class tree_kex {
   int depth() const { return ceil_log2(leaves_); }
   int block_count() const { return leaves_ - 1; }
 
+  // Heap node `node` (1..block_count()).
+  Block& block(int node) {
+    return blocks_[static_cast<std::size_t>(node - 1)];
+  }
+  const Block& block(int node) const {
+    return blocks_[static_cast<std::size_t>(node - 1)];
+  }
+
   // The leaf group `pid` ascends from (assignment introspection).
   int leaf_of(int pid) const {
     return leaf_of_.empty() ? pid / k_
@@ -193,10 +201,6 @@ class tree_kex {
     int d = 0;
     for (int node = leaf / 2; node >= 1; node /= 2) path[d++] = node;
     return d;
-  }
-
-  Block& block(int node) {
-    return blocks_[static_cast<std::size_t>(node - 1)];
   }
 
   int n_, k_;

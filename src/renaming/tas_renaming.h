@@ -10,16 +10,21 @@
 // it, making a (k-1)-th bit unnecessary.  Releasing a name clears its bit.
 // Cost: at most k remote references to obtain, one to release.
 //
+// Layout: the k-1 bits sit back to back in one line-aligned arena of their
+// own (arena_layout.h).  Nobody spins on a bit and every scan walks the
+// run from X[0], so the bits are one object's words, touched together; on
+// the real platform a bit is 4 bytes and the run is one cache line for
+// k <= 17.
+//
 // Correct use REQUIRES the caller to bound concurrency to k, e.g. by
 // calling inside the critical section of an (N,k)-exclusion object — that
 // combination is (N,k)-assignment (k_assignment.h).
 #pragma once
 
 #include <optional>
-#include <vector>
 
-#include "common/cacheline.h"
 #include "common/check.h"
+#include "kex/arena_layout.h"
 #include "platform/cancel.h"
 #include "platform/platform.h"
 #include "primitives/ops.h"
@@ -35,15 +40,15 @@ class tas_renaming {
  public:
   explicit tas_renaming(int k) : k_(k) {
     KEX_CHECK_MSG(k >= 1, "tas_renaming requires k >= 1");
-    if (k > 1) bits_ = std::vector<padded<var<int>>>(
-        static_cast<std::size_t>(k - 1));
+    bits_.reserve(static_cast<std::size_t>(k - 1));
+    for (int i = 0; i < k - 1; ++i) bits_.emplace_back();
   }
 
   // Obtain a name in 0..k-1.  At most k processes may hold names at once.
   int get_name(proc& p) {
     int name = 0;
     while (name < k_ - 1 &&
-           test_and_set<P>(bits_[static_cast<std::size_t>(name)].value, p)) {
+           test_and_set<P>(bits_[static_cast<std::size_t>(name)], p)) {
       ++name;
     }
     return name;  // name == k-1 needs no bit: at most one process gets here
@@ -60,7 +65,7 @@ class tas_renaming {
     int name = 0;
     while (name < k_ - 1) {
       if (tk.tick()) return std::nullopt;
-      if (!test_and_set<P>(bits_[static_cast<std::size_t>(name)].value, p))
+      if (!test_and_set<P>(bits_[static_cast<std::size_t>(name)], p))
         return name;
       ++name;
     }
@@ -71,14 +76,18 @@ class tas_renaming {
   void put_name(proc& p, int name) {
     KEX_CHECK_MSG(name >= 0 && name < k_, "put_name: name out of range");
     if (name < k_ - 1)
-      clear_bit<P>(bits_[static_cast<std::size_t>(name)].value, p);
+      clear_bit<P>(bits_[static_cast<std::size_t>(name)], p);
   }
 
   int k() const { return k_; }
+  // Bit X[i], 0 <= i < k-1 (layout introspection).
+  const var<int>& bit(int i) const {
+    return bits_[static_cast<std::size_t>(i)];
+  }
 
  private:
   int k_;
-  std::vector<padded<var<int>>> bits_;  // X[0..k-2], bit j guards name j
+  packed_arena<var<int>> bits_;  // X[0..k-2], bit j guards name j
 };
 
 }  // namespace kex

@@ -47,9 +47,8 @@ TEST(Invariant, CcLevelXRangeEveryStateEverySchedule) {
   };
 
   auto probe = [&] {
-    const auto& level = alg->level(0);
-    int x = level.debug_x();
-    if (x < -1 || x > level.capacity()) range_violation.store(true);
+    int x = alg->level(0).debug_x();
+    if (x < -1 || x > alg->level_capacity(0)) range_violation.store(true);
     if (monitor->occupancy() > k) cs_violation.store(true);
   };
 
@@ -92,9 +91,8 @@ TEST(Invariant, ChainAllLevelsXRange) {
 
   auto probe = [&] {
     for (int i = 0; i < alg->depth(); ++i) {
-      const auto& level = alg->level(i);
-      int x = level.debug_x();
-      if (x < -1 || x > level.capacity()) violation.store(true);
+      int x = alg->level(i).debug_x();
+      if (x < -1 || x > alg->level_capacity(i)) violation.store(true);
     }
   };
 

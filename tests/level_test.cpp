@@ -28,7 +28,7 @@ TEST(CcLevel, UncontendedPassThrough) {
   level.release(p);
   level.acquire(p);
   level.release(p);
-  EXPECT_EQ(level.capacity(), 2);
+  EXPECT_EQ(level.debug_x(), 2);  // quiescent: all j slots free
 }
 
 TEST(CcLevel, AdmitsExactlyJWithoutWaiting) {

@@ -63,7 +63,7 @@ class mutant_wide_bottom {
 
  private:
   int n_, k_;
-  arena_vector<cc_level<P>> levels_;
+  packed_arena<cc_level<P>> levels_;  // the real chain's container
 };
 
 // Mutant B — abort path leaks its slot.  A single Figure-2 level of

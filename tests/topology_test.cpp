@@ -7,14 +7,18 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "kex/algorithms.h"
 #include "kex/arena_layout.h"
+#include "kex/hybrid_kex.h"
 #include "platform/stepper.h"
+#include "platform/real.h"
 #include "platform/topology.h"
+#include "renaming/tas_renaming.h"
 #include "runtime/bounds.h"
 #include "runtime/cs_monitor.h"
 #include "runtime/process_group.h"
@@ -471,6 +475,111 @@ TEST(ArenaLayout, PaddedOccupiesWholeLines) {
   };
   static_assert(sizeof(kex::padded<three_words>) % kex::cacheline_size == 0);
   static_assert(alignof(kex::padded<three_words>) == kex::cacheline_size);
+}
+
+// --- line-packed blocks -----------------------------------------------------
+//
+// A Figure-2 chain packs its levels' X/Q words into one line-aligned arena
+// of its own, and Figure 7 packs its bits the same way: on the real
+// platform a (2k,k) block spans ceil(8k/64) lines, and distinct blocks
+// never share one.
+
+using real = kex::real_platform;
+
+std::uintptr_t line_of(const void* p) {
+  return reinterpret_cast<std::uintptr_t>(p) / kex::cacheline_size;
+}
+
+bool line_aligned(const void* p) {
+  return reinterpret_cast<std::uintptr_t>(p) % kex::cacheline_size == 0;
+}
+
+// Every line a block occupies: its own object and its level arena.
+template <class Platform>
+std::vector<std::uintptr_t> block_lines(const kex::cc_inductive<Platform>& b) {
+  std::vector<std::uintptr_t> lines;
+  auto add = [&](const void* p, std::size_t bytes) {
+    const auto* end = static_cast<const char*>(p) + bytes - 1;
+    for (auto l = line_of(p); l <= line_of(end); ++l) lines.push_back(l);
+  };
+  add(&b, sizeof(b));
+  add(&b.level(0),
+      kex::packed_arena<kex::cc_level<Platform>>::footprint(
+          static_cast<std::size_t>(b.depth())));
+  return lines;
+}
+
+void expect_no_shared_line(
+    const std::vector<std::vector<std::uintptr_t>>& blocks) {
+  std::map<std::uintptr_t, std::size_t> owner;
+  for (std::size_t b = 0; b < blocks.size(); ++b)
+    for (auto line : blocks[b]) {
+      auto [it, fresh] = owner.emplace(line, b);
+      if (!fresh && it->second != b)
+        ADD_FAILURE() << "blocks " << it->second << " and " << b
+                      << " share a cache line";
+    }
+}
+
+template <class Tree>
+std::vector<std::vector<std::uintptr_t>> tree_block_lines(const Tree& t) {
+  std::vector<std::vector<std::uintptr_t>> out;
+  for (int node = 1; node <= t.block_count(); ++node)
+    out.push_back(block_lines(t.block(node)));
+  return out;
+}
+
+TEST(LinePacking, BlockIsLineAlignedAndSpansCeil8kOver64Lines) {
+  static_assert(sizeof(kex::cc_level<real>) == 8);
+  for (int k : {1, 2, 4, 8}) {
+    kex::cc_inductive<real> block(2 * k, k);
+    ASSERT_EQ(block.depth(), k);
+    EXPECT_TRUE(line_aligned(&block.level(0))) << "k=" << k;
+    const std::size_t lines = (8 * static_cast<std::size_t>(k) + 63) / 64;
+    EXPECT_EQ(kex::packed_arena<kex::cc_level<real>>::footprint(
+                  static_cast<std::size_t>(k)),
+              lines * kex::cacheline_size)
+        << "k=" << k;
+    // The levels are back to back: the last word ends inside that span.
+    const auto* last = &block.level(k - 1);
+    EXPECT_EQ(reinterpret_cast<const char*>(last) -
+                  reinterpret_cast<const char*>(&block.level(0)),
+              static_cast<std::ptrdiff_t>(8 * (k - 1)));
+    EXPECT_EQ(line_of(reinterpret_cast<const char*>(last + 1) - 1) -
+                  line_of(&block.level(0)) + 1,
+              lines)
+        << "k=" << k;
+  }
+}
+
+TEST(LinePacking, TreeBlocksNeverShareALine) {
+  kex::cc_tree<real> tree(16, 2);
+  ASSERT_EQ(tree.block_count(), 7);
+  expect_no_shared_line(tree_block_lines(tree));
+}
+
+TEST(LinePacking, GracefulStageBlocksNeverShareALine) {
+  kex::cc_graceful<real> g(16, 2);
+  ASSERT_GE(g.stage_count(), 2);
+  std::vector<std::vector<std::uintptr_t>> blocks;
+  for (int i = 0; i <= g.stage_count(); ++i)
+    blocks.push_back(block_lines(g.block(i)));
+  expect_no_shared_line(blocks);
+}
+
+TEST(LinePacking, HybridTreeBlocksNeverShareALine) {
+  kex::hybrid_kex<real> h(16, 4);
+  ASSERT_EQ(h.tree().block_count(), 3);
+  expect_no_shared_line(tree_block_lines(h.tree()));
+}
+
+TEST(LinePacking, RenamingBitsShareOneLine) {
+  for (int k : {4, 8}) {
+    kex::tas_renaming<real> names(k);
+    EXPECT_TRUE(line_aligned(&names.bit(0))) << "k=" << k;
+    EXPECT_EQ(line_of(&names.bit(0)), line_of(&names.bit(k - 2)))
+        << "k=" << k;
+  }
 }
 
 // Pinned run end to end: a numa-planned worker group completes and keeps

@@ -17,9 +17,11 @@ needs no build tree — plain text over src/ — and enforces:
                    member (state reachable from two pids) must be
                    ``padded<...>``-wrapped, ``alignas``-annotated, or
                    belong to a struct placed in a cache-line arena
-                   (``arena_vector``/``arena_array``/``padded<Struct>``
-                   in the same file) — the false-sharing discipline the
-                   topology PR established.
+                   (``arena_vector``/``packed_arena``/``padded<Struct>``
+                   in the same file) — the false-sharing discipline of
+                   src/kex/arena_layout.h: an object's words are padded
+                   to lines of their own, or packed together onto
+                   line-aligned whole lines that the object owns.
 
   raw-spin         No hand-rolled wait loop: a ``while``/``do`` loop
                    re-reading a platform variable in its condition must
@@ -247,7 +249,7 @@ def lint_file(relpath, text, findings):
             placed = False
             if holder:
                 placed = re.search(
-                    rf"(?:arena_vector|arena_array|padded)\s*<\s*"
+                    rf"(?:arena_vector|packed_arena|padded)\s*<\s*"
                     rf"{re.escape(holder)}\b", code) is not None
             if not placed:
                 emit(lineno, "unpadded-shared",
